@@ -12,8 +12,11 @@ cargo clippy --workspace --all-targets -- -D warnings
 echo "== cargo build --release"
 cargo build --release
 
-echo "== cargo test"
-cargo test -q
+echo "== cargo test (every workspace crate)"
+cargo test --workspace -q
+
+echo "== flowbench builds against the workspace"
+cargo build --release --offline --manifest-path flowbench/Cargo.toml
 
 echo "== cargo doc (deny warnings)"
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps -q

@@ -7,16 +7,16 @@
 //! pdr-lint --all --deny-warnings          # CI gate: warnings also fail
 //! pdr-lint --all --code PDR004 --code PDR013   # only selected codes
 //! pdr-lint --flow paper --max-states 50000     # bounded model check
-//! pdr-lint --flow paper --no-model-check       # greedy deadlock pass only
 //! ```
 //!
 //! The offline artifact model has no deserializer, so the CLI rebuilds
 //! flows in-process from [`pdr_core::gallery`] and lints what `run()`
-//! produces — the same artifacts `DesignFlow::verify` sees. The
-//! exhaustive interleaving model checker (PDR013–PDR017) is on by
-//! default, exactly as in `verify`; `--no-model-check` falls back to the
-//! greedy single-interleaving deadlock pass and `--max-states` bounds
-//! the exploration (PDR017 reports when the bound bites).
+//! produces — the same artifacts `DesignFlow::verify` sees. Deadlock
+//! and the other interleaving properties (PDR004, PDR013–PDR017) come
+//! from the exhaustive model checker, exactly as in `verify`;
+//! `--max-states` bounds its exploration (PDR017 reports when the bound
+//! bites). A flow named more than once (`--all`, repeated `--flow`) is
+//! linted once, in first-seen order.
 //!
 //! Exit status: 0 when every linted flow is acceptable, 1 when any
 //! diagnostic (surviving the `--code` filter, if given) fails the gate
@@ -27,6 +27,7 @@ use pdr_core::lint::render;
 use pdr_core::lint::{Code, ModelConfig, Report};
 use serde::json::Value;
 use serde::Serialize;
+use std::collections::HashSet;
 use std::process::ExitCode;
 
 struct Options {
@@ -36,7 +37,6 @@ struct Options {
     list: bool,
     /// Show (and gate on) only these codes; empty = all.
     codes: Vec<Code>,
-    model_check: bool,
     max_states: Option<usize>,
 }
 
@@ -44,8 +44,8 @@ fn usage() -> String {
     let names = gallery::names().join(", ");
     format!(
         "usage: pdr-lint [--flow NAME]... [--all] [--format text|json] \
-         [--deny-warnings] [--code PDRnnn]... [--model-check|--no-model-check] \
-         [--max-states N] [--list]\nflows: {names}"
+         [--deny-warnings] [--code PDRnnn]... [--max-states N] [--list]\n\
+         flows: {names}"
     )
 }
 
@@ -56,7 +56,6 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
         deny_warnings: false,
         list: false,
         codes: Vec::new(),
-        model_check: true,
         max_states: None,
     };
     let mut it = args.iter();
@@ -67,7 +66,8 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
                 opts.flows.push(name.clone());
             }
             "--all" => {
-                opts.flows = gallery::names().iter().map(|s| s.to_string()).collect();
+                opts.flows
+                    .extend(gallery::names().iter().map(|s| s.to_string()));
             }
             "--format" => match it.next().map(String::as_str) {
                 Some("text") => opts.json = false,
@@ -82,8 +82,6 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
                     None => return Err(format!("unknown code `{code}` (expect PDR001..PDR017)")),
                 }
             }
-            "--model-check" => opts.model_check = true,
-            "--no-model-check" => opts.model_check = false,
             "--max-states" => {
                 let n = it.next().ok_or("--max-states needs a number")?;
                 let n: usize = n
@@ -102,9 +100,8 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
     if !opts.list && opts.flows.is_empty() {
         return Err(format!("nothing to lint\n{}", usage()));
     }
-    if opts.max_states.is_some() && !opts.model_check {
-        return Err("--max-states conflicts with --no-model-check".into());
-    }
+    let mut seen = HashSet::new();
+    opts.flows.retain(|name| seen.insert(name.clone()));
     Ok(opts)
 }
 
@@ -139,15 +136,10 @@ fn main() -> ExitCode {
         return ExitCode::SUCCESS;
     }
 
-    let model = if opts.model_check {
-        let mut config = ModelConfig::default();
-        if let Some(n) = opts.max_states {
-            config = config.with_max_states(n);
-        }
-        Some(config)
-    } else {
-        None
-    };
+    let mut model = ModelConfig::default();
+    if let Some(n) = opts.max_states {
+        model = model.with_max_states(n);
+    }
 
     let mut failed = false;
     let mut json_flows: Vec<(String, Value)> = Vec::new();
@@ -181,5 +173,37 @@ fn main() -> ExitCode {
         ExitCode::FAILURE
     } else {
         ExitCode::SUCCESS
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn flows_of(args: &[&str]) -> Vec<String> {
+        let args: Vec<String> = args.iter().map(|a| a.to_string()).collect();
+        parse_args(&args).unwrap().flows
+    }
+
+    #[test]
+    fn all_then_flow_lints_each_flow_once() {
+        let all: Vec<String> = gallery::names().iter().map(|s| s.to_string()).collect();
+        assert_eq!(flows_of(&["--all", "--flow", "paper"]), all);
+    }
+
+    #[test]
+    fn repeated_flow_is_linted_once_in_first_seen_order() {
+        assert_eq!(flows_of(&["--flow", "paper", "--flow", "paper"]), ["paper"]);
+        assert_eq!(
+            flows_of(&[
+                "--flow",
+                "two_regions",
+                "--flow",
+                "paper",
+                "--flow",
+                "two_regions"
+            ]),
+            ["two_regions", "paper"]
+        );
     }
 }

@@ -48,9 +48,7 @@ pub mod algorithm;
 pub mod architecture;
 pub mod characterization;
 pub mod constraints;
-pub mod dot;
 pub mod error;
-pub mod hierarchy;
 pub mod paper;
 
 pub use algorithm::{AlgorithmGraph, DataEdge, OpId, OpKind, Operation};
@@ -60,7 +58,6 @@ pub use architecture::{
 pub use characterization::Characterization;
 pub use constraints::{ConstraintsFile, LoadPolicy, ModuleConstraints, UnloadPolicy};
 pub use error::GraphError;
-pub use hierarchy::inline_subgraph;
 
 /// Convenience re-exports.
 pub mod prelude {

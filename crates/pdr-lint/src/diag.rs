@@ -44,8 +44,9 @@ pub enum Code {
     /// PDR003 — a rendezvous tag used more than once in a role, or twice
     /// within a single operator's sequence (self-rendezvous deadlocks).
     DuplicateTag,
-    /// PDR004 — the cross-operator wait-for graph has a cycle: the
-    /// synchronized executive deadlocks. Carries a witness trace.
+    /// PDR004 — the model checker reached a terminal state with unfinished
+    /// streams: the synchronized executive deadlocks. Carries the stuck
+    /// instructions and a minimal witness schedule.
     Deadlock,
     /// PDR005 — a `Compute` of a dynamic module is not dominated by a
     /// `Configure` of that module (the region would run stale logic).

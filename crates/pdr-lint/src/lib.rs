@@ -14,40 +14,37 @@
 //! | Codes | Pass | Property |
 //! |---|---|---|
 //! | PDR001–003 | [`rendezvous`] | every `Send{tag}` has exactly one peer `Receive{tag}`, attributes mirrored, no duplicate/self tags |
-//! | PDR004 | [`deadlock`] | the cross-operator wait-for graph is cycle-free; cycles come with a witness trace |
 //! | PDR005–007, PDR012 | [`reconfig`] | Configure dominates Compute, worst-case times match the characterization, exclusion groups are statically safe, cross-references resolve |
 //! | PDR008–011 | [`floorplan`] | Modular Design geometry, bus-macro straddling, bitstream/frame consistency |
 //! | PDR004, PDR013–017 | [`model`] | exhaustive interleaving exploration: sound deadlock with a minimal schedule, reconfiguration races, stale hand-offs, `[best,worst]`-clock deadlines, dead instructions, explicit budget truncation |
 //!
-//! The [`model`] pass replaces the greedy PDR004 pass when a
-//! [`model::ModelConfig`] is attached (see [`IrLintInput::with_model_check`]);
-//! its schedule witnesses can be independently validated with [`replay`].
+//! The [`model`] checker is the only deadlock analysis; its state budget
+//! is tuned with [`IrLintInput::with_model_check`], and its schedule
+//! witnesses can be independently validated with [`replay`].
 //!
-//! ## Entry points
+//! ## Entry point
 //!
 //! ```
 //! use pdr_adequation::executive::Executive;
-//! use pdr_lint::{lint, LintInput};
+//! use pdr_ir::SymbolTable;
+//! use pdr_lint::{lint_ir, IrLintInput};
 //!
 //! let executive = Executive::default();
-//! let report = lint(&LintInput::new(&executive));
+//! let mut table = SymbolTable::new();
+//! let ir = executive.lower(&mut table);
+//! let report = lint_ir(&IrLintInput::new(&ir, &table));
 //! assert!(report.is_clean());
 //! ```
 //!
-//! Architecture, characterization, constraints and floorplan inputs are
-//! optional: passes needing an absent input are skipped, so the same
-//! entry point serves the full `DesignFlow::verify()` stage and narrow
+//! [`lint_ir`] is the one entry point. It runs over the lowered,
+//! index-based [`pdr_ir::IrExecutive`] and the symbol table it was
+//! lowered through, as `pdr-core`'s flow artifacts carry them, and
+//! renders diagnostics back through that table. Architecture,
+//! characterization, constraints and floorplan inputs are optional:
+//! passes needing an absent input are skipped, so the same entry point
+//! serves the full `DesignFlow::verify()` stage and narrow
 //! unit/mutation tests.
-//!
-//! All executive analyses run over the lowered, index-based
-//! [`pdr_ir::IrExecutive`]; [`lint`] lowers its string executive
-//! internally, while callers that already hold flow artifacts (symbol
-//! table plus lowered executive, as `pdr-core` produces) skip that step
-//! with [`lint_ir`] and [`IrLintInput`]. Both entry points render
-//! diagnostics back through the symbol table, byte-identical to the
-//! historical string-pass output.
 
-pub mod deadlock;
 pub mod diag;
 pub mod floorplan;
 pub mod model;
@@ -60,75 +57,12 @@ pub use diag::{Code, Diagnostic, Location, Report, Severity};
 pub use model::{ModelConfig, ModelStats};
 pub use rendezvous::RendezvousPair;
 
-use pdr_adequation::executive::Executive;
 use pdr_codegen::floorplan::FloorplanResult;
 use pdr_graph::{ArchGraph, Characterization, ConstraintsFile};
 use pdr_ir::{IrExecutive, SymbolTable};
 
-/// Everything the linter can look at. Only the executive is mandatory.
-pub struct LintInput<'a> {
-    /// The synchronized executive (always analyzed).
-    pub executive: &'a Executive,
-    /// Architecture graph — enables the reconfiguration-safety pass.
-    pub arch: Option<&'a ArchGraph>,
-    /// Characterization tables — enables worst-case-time checking.
-    pub chars: Option<&'a Characterization>,
-    /// Constraints file — enables module/exclusion checking.
-    pub constraints: Option<&'a ConstraintsFile>,
-    /// Placed design — enables the floorplan/bitstream pass.
-    pub floorplan: Option<&'a FloorplanResult>,
-    /// Model-checker configuration — replaces the greedy deadlock pass
-    /// with the exhaustive interleaving exploration (PDR013–PDR017).
-    pub model: Option<ModelConfig>,
-}
-
-impl<'a> LintInput<'a> {
-    /// Lint input over just an executive.
-    pub fn new(executive: &'a Executive) -> Self {
-        LintInput {
-            executive,
-            arch: None,
-            chars: None,
-            constraints: None,
-            floorplan: None,
-            model: None,
-        }
-    }
-
-    /// Attach the architecture graph.
-    pub fn with_arch(mut self, arch: &'a ArchGraph) -> Self {
-        self.arch = Some(arch);
-        self
-    }
-
-    /// Attach the characterization tables.
-    pub fn with_chars(mut self, chars: &'a Characterization) -> Self {
-        self.chars = Some(chars);
-        self
-    }
-
-    /// Attach the constraints file.
-    pub fn with_constraints(mut self, constraints: &'a ConstraintsFile) -> Self {
-        self.constraints = Some(constraints);
-        self
-    }
-
-    /// Attach the placed design.
-    pub fn with_floorplan(mut self, floorplan: &'a FloorplanResult) -> Self {
-        self.floorplan = Some(floorplan);
-        self
-    }
-
-    /// Enable the exhaustive model checker with `config`.
-    pub fn with_model_check(mut self, config: ModelConfig) -> Self {
-        self.model = Some(config);
-        self
-    }
-}
-
-/// Everything the IR-based linter can look at: a lowered executive and
-/// the symbol table that resolves its interned names. Only those two are
-/// mandatory.
+/// Everything the linter can look at: a lowered executive and the symbol
+/// table that resolves its interned names. Only those two are mandatory.
 pub struct IrLintInput<'a> {
     /// The lowered executive (always analyzed).
     pub ir: &'a IrExecutive,
@@ -142,9 +76,9 @@ pub struct IrLintInput<'a> {
     pub constraints: Option<&'a ConstraintsFile>,
     /// Placed design — enables the floorplan/bitstream pass.
     pub floorplan: Option<&'a FloorplanResult>,
-    /// Model-checker configuration — replaces the greedy deadlock pass
-    /// with the exhaustive interleaving exploration (PDR013–PDR017).
-    pub model: Option<ModelConfig>,
+    /// Configuration of the exhaustive interleaving model checker
+    /// (PDR004, PDR013–PDR017).
+    pub model: ModelConfig,
 }
 
 impl<'a> IrLintInput<'a> {
@@ -157,7 +91,7 @@ impl<'a> IrLintInput<'a> {
             chars: None,
             constraints: None,
             floorplan: None,
-            model: None,
+            model: ModelConfig::default(),
         }
     }
 
@@ -185,38 +119,19 @@ impl<'a> IrLintInput<'a> {
         self
     }
 
-    /// Enable the exhaustive model checker with `config`.
+    /// Run the model checker under `config` instead of the default.
     pub fn with_model_check(mut self, config: ModelConfig) -> Self {
-        self.model = Some(config);
+        self.model = config;
         self
     }
 }
 
-/// Run every applicable analysis and aggregate the findings.
-///
-/// Lowers the string executive through a scratch [`SymbolTable`] and runs
-/// the IR passes; output is byte-identical to linting the lowered form
-/// directly with [`lint_ir`].
-pub fn lint(input: &LintInput<'_>) -> Report {
-    let mut table = SymbolTable::new();
-    let ir = input.executive.lower(&mut table);
-    let mut ir_input = IrLintInput::new(&ir, &table);
-    ir_input.arch = input.arch;
-    ir_input.chars = input.chars;
-    ir_input.constraints = input.constraints;
-    ir_input.floorplan = input.floorplan;
-    ir_input.model = input.model;
-    lint_ir(&ir_input)
-}
-
 /// Run every applicable analysis over an already-lowered executive.
 ///
-/// The deadlock/model pass only runs when the rendezvous pass found no
-/// errors: with unmatched or mismatched pairs, every stuck state would
-/// just restate the PDR001/PDR002 findings. With a model configuration
-/// attached the exhaustive checker replaces the greedy deadlock pass and
-/// additionally reports PDR013–PDR017 (PDR015 needs architecture and
-/// constraints).
+/// The model checker (PDR004, PDR013–PDR017; PDR015 needs architecture
+/// and constraints) only runs when the rendezvous pass found no errors:
+/// with unmatched or mismatched pairs, every stuck state would just
+/// restate the PDR001/PDR002 findings.
 pub fn lint_ir(input: &IrLintInput<'_>) -> Report {
     let mut report = Report::new();
 
@@ -225,18 +140,15 @@ pub fn lint_ir(input: &IrLintInput<'_>) -> Report {
     report.extend(rv.diagnostics);
 
     if rendezvous_clean {
-        match &input.model {
-            None => report.extend(deadlock::check(input.ir, input.table, &rv.pairs)),
-            Some(config) => report.extend(model::run_for_lint(
-                input.ir,
-                input.table,
-                &rv.pairs,
-                input.arch,
-                input.chars,
-                input.constraints,
-                config,
-            )),
-        }
+        report.extend(model::run_for_lint(
+            input.ir,
+            input.table,
+            &rv.pairs,
+            input.arch,
+            input.chars,
+            input.constraints,
+            &input.model,
+        ));
     }
 
     if let (Some(arch), Some(chars), Some(constraints)) =
@@ -262,12 +174,27 @@ pub fn lint_ir(input: &IrLintInput<'_>) -> Report {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pdr_adequation::executive::MacroInstr;
+    use pdr_adequation::executive::{Executive, MacroInstr};
+
+    /// Lower `e` through a fresh table and lint it.
+    fn lint_executive(e: &Executive) -> Report {
+        let mut table = SymbolTable::new();
+        let ir = e.lower(&mut table);
+        lint_ir(&IrLintInput::new(&ir, &table))
+    }
+
+    fn send(to: &str, tag: u32) -> MacroInstr {
+        MacroInstr::Send {
+            to: to.into(),
+            medium: "m".into(),
+            bits: 8,
+            tag,
+        }
+    }
 
     #[test]
     fn empty_executive_is_clean() {
-        let e = Executive::default();
-        assert!(lint(&LintInput::new(&e)).is_clean());
+        assert!(lint_executive(&Executive::default()).is_clean());
     }
 
     #[test]
@@ -275,29 +202,15 @@ mod tests {
         // A dangling send blocks forever, but the finding must be the
         // precise PDR001, not a redundant PDR004 on top.
         let mut e = Executive::default();
-        e.per_operator.insert(
-            "a".into(),
-            vec![MacroInstr::Send {
-                to: "b".into(),
-                medium: "m".into(),
-                bits: 8,
-                tag: 1,
-            }],
-        );
-        let r = lint(&LintInput::new(&e));
+        e.per_operator.insert("a".into(), vec![send("b", 1)]);
+        let r = lint_executive(&e);
         assert!(r.has_code(Code::DanglingRendezvous));
         assert!(!r.has_code(Code::Deadlock));
     }
 
     #[test]
     fn crossed_waits_reach_the_deadlock_pass() {
-        let mk_send = |to: &str, tag| MacroInstr::Send {
-            to: to.into(),
-            medium: "m".into(),
-            bits: 8,
-            tag,
-        };
-        let mk_recv = |from: &str, tag| MacroInstr::Receive {
+        let recv = |from: &str, tag| MacroInstr::Receive {
             from: from.into(),
             medium: "m".into(),
             bits: 8,
@@ -305,28 +218,22 @@ mod tests {
         };
         let mut e = Executive::default();
         e.per_operator
-            .insert("a".into(), vec![mk_send("b", 1), mk_recv("b", 2)]);
+            .insert("a".into(), vec![send("b", 1), recv("b", 2)]);
         e.per_operator
-            .insert("b".into(), vec![mk_send("a", 2), mk_recv("a", 1)]);
-        let r = lint(&LintInput::new(&e));
-        assert!(r.has_code(Code::Deadlock));
+            .insert("b".into(), vec![send("a", 2), recv("a", 1)]);
+        let r = lint_executive(&e);
+        assert_eq!(r.with_code(Code::Deadlock).len(), 1);
         assert!(!r.with_code(Code::Deadlock)[0].notes.is_empty());
     }
 
     #[test]
-    fn lint_and_lint_ir_agree_byte_for_byte() {
-        // One executive exercising PDR002 + (suppressed) deadlock paths:
-        // the two entry points must render the same diagnostics.
+    fn report_does_not_depend_on_the_lowering_table() {
+        // One executive exercising PDR002 + (suppressed) deadlock paths,
+        // lowered once through a fresh table and once through a table
+        // that already interns other names (so every symbol id shifts):
+        // the rendered diagnostics must be byte-identical.
         let mut e = Executive::default();
-        e.per_operator.insert(
-            "a".into(),
-            vec![MacroInstr::Send {
-                to: "b".into(),
-                medium: "m".into(),
-                bits: 8,
-                tag: 1,
-            }],
-        );
+        e.per_operator.insert("a".into(), vec![send("b", 1)]);
         e.per_operator.insert(
             "b".into(),
             vec![MacroInstr::Receive {
@@ -336,14 +243,18 @@ mod tests {
                 tag: 1,
             }],
         );
-        let via_string = lint(&LintInput::new(&e));
-        let mut table = pdr_ir::SymbolTable::new();
+        let fresh = lint_executive(&e);
+        let mut table = SymbolTable::new();
+        for name in ["z", "other", "b", "unrelated"] {
+            table.intern(name);
+        }
         let ir = e.lower(&mut table);
-        let via_ir = lint_ir(&IrLintInput::new(&ir, &table));
-        assert_eq!(via_string, via_ir);
+        let shared = lint_ir(&IrLintInput::new(&ir, &table));
+        assert!(fresh.has_code(Code::RendezvousMismatch));
+        assert_eq!(fresh, shared);
         assert_eq!(
-            render::to_text(&via_string),
-            render::to_text(&via_ir),
+            render::to_text(&fresh),
+            render::to_text(&shared),
             "rendered text must be byte-identical"
         );
     }

@@ -1,13 +1,13 @@
 //! Exhaustive interleaving-level model checking (PDR004, PDR013–PDR017).
 //!
-//! The greedy abstract scheduler in [`crate::deadlock`] explores *one*
-//! interleaving of the §3 synchronized executive. That is complete for
-//! deadlock (the executive's rendezvous semantics is confluent: all
-//! enabled transitions at a state are pairwise independent, so there is
-//! exactly one terminal state), but it cannot see properties that only
-//! hold in *some* interleavings — a `Configure` racing a `Compute` on the
-//! region it rewrites, or a result handed off after its module was
-//! evicted. This module explores **all** cross-operator interleavings.
+//! The executive's rendezvous semantics is confluent: all enabled
+//! transitions at a state are pairwise independent, so there is exactly
+//! one terminal state and one interleaving would settle deadlock. It
+//! would not see properties that only hold in *some* interleavings — a
+//! `Configure` racing a `Compute` on the region it rewrites, or a result
+//! handed off after its module was evicted. This module explores **all**
+//! cross-operator interleavings and is the crate's only deadlock
+//! analysis.
 //!
 //! ## State vector
 //!
@@ -1096,14 +1096,94 @@ mod tests {
             panic!("deadlock detail");
         };
         assert_eq!(stuck.len(), 2);
-        let d = &out.diagnostics[0];
-        assert_eq!(d.code, Code::Deadlock);
-        assert!(d.notes.iter().any(|n| n.contains("blocks on")), "{d}");
+        let ds = deadlocks(&out);
+        assert_eq!(ds.len(), 1);
+        let d = ds[0];
+        assert!(d.notes.iter().any(|n| n.starts_with("a[0] blocks")), "{d}");
+        assert!(d.notes.iter().any(|n| n.starts_with("b[0] blocks")), "{d}");
         // PDR016 rides along: the dead instructions behind the deadlock.
         assert!(out
             .diagnostics
             .iter()
             .any(|d| d.code == Code::UnreachableInstr));
+    }
+
+    /// The PDR004 diagnostics, asserting one per deadlock witness.
+    fn deadlocks(out: &ModelOutcome) -> Vec<&Diagnostic> {
+        let ds: Vec<_> = out
+            .diagnostics
+            .iter()
+            .filter(|d| d.code == Code::Deadlock)
+            .collect();
+        let witnesses = out
+            .witnesses
+            .iter()
+            .filter(|w| w.code == Code::Deadlock)
+            .count();
+        assert_eq!(ds.len(), witnesses, "one PDR004 per deadlocked state");
+        ds
+    }
+
+    #[test]
+    fn straight_rendezvous_pipeline_has_no_deadlock() {
+        let mut table = SymbolTable::new();
+        let ir = {
+            let mut b = IrBuilder::new(&mut table);
+            b.begin_operator("a");
+            b.send("b", "m", 8, 1);
+            b.send("b", "m", 8, 2);
+            b.begin_operator("b");
+            b.receive("a", "m", 8, 1);
+            b.receive("a", "m", 8, 2);
+            b.send("c", "m", 8, 3);
+            b.begin_operator("c");
+            b.receive("b", "m", 8, 3);
+            b.finish()
+        };
+        let out = run(&ir, &table, None);
+        assert!(deadlocks(&out).is_empty(), "{:?}", out.diagnostics);
+    }
+
+    #[test]
+    fn three_party_cycle_is_one_diagnostic() {
+        // a waits on c, c waits on b, b waits on a.
+        let mut table = SymbolTable::new();
+        let ir = {
+            let mut b = IrBuilder::new(&mut table);
+            b.begin_operator("a");
+            b.receive("c", "m", 8, 3);
+            b.send("b", "m", 8, 1);
+            b.begin_operator("b");
+            b.receive("a", "m", 8, 1);
+            b.send("c", "m", 8, 2);
+            b.begin_operator("c");
+            b.receive("b", "m", 8, 2);
+            b.send("a", "m", 8, 3);
+            b.finish()
+        };
+        let out = run(&ir, &table, None);
+        assert_eq!(deadlocks(&out).len(), 1);
+        let WitnessDetail::Deadlock { stuck } = &out.witnesses[0].detail else {
+            panic!("deadlock detail");
+        };
+        assert_eq!(stuck.len(), 3);
+    }
+
+    #[test]
+    fn local_instructions_do_not_block() {
+        let mut table = SymbolTable::new();
+        let ir = {
+            let mut b = IrBuilder::new(&mut table);
+            b.begin_operator("a");
+            b.configure("m", TimePs::from_ms(4));
+            b.compute("o", "m", TimePs::from_us(1));
+            b.send("b", "m", 8, 1);
+            b.begin_operator("b");
+            b.receive("a", "m", 8, 1);
+            b.finish()
+        };
+        let out = run(&ir, &table, None);
+        assert!(deadlocks(&out).is_empty(), "{:?}", out.diagnostics);
     }
 
     #[test]

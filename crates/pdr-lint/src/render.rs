@@ -11,9 +11,8 @@ use serde::Serialize;
 impl Serialize for Report {
     /// JSON form. Diagnostics are emitted in [`Report::sorted`] order
     /// (code, then operator, then instruction index, then message) so the
-    /// payload is deterministic across analysis implementations — the
-    /// greedy and model-checking deadlock passes serialize identically
-    /// ordered findings.
+    /// payload does not depend on the order in which passes emit their
+    /// findings.
     fn to_json(&self) -> Value {
         let sorted = self.sorted();
         Value::obj(vec![

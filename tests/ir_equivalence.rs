@@ -10,9 +10,9 @@
 //! * **simulation** — `DeployedSystem::simulate` and `simulate_ir`
 //!   produce equal [`SimReport`]s (event traces, latencies, busy times,
 //!   reconfiguration logs) under reconfiguration-churning workloads;
-//! * **lint** — `lint` over the string executive and `lint_ir` over the
-//!   carried lowered twin render byte-identical text and JSON reports,
-//!   clean and mutated alike;
+//! * **lint** — `lint_ir` over the string executive lowered through a
+//!   fresh symbol table and over the carried lowered twin render
+//!   byte-identical text and JSON reports, clean and mutated alike;
 //! * **sweep digests** — a `pdr-sweep` study whose scenarios simulate
 //!   through either interpreter produces bit-identical
 //!   schedule-independent outcome digests.
@@ -25,7 +25,8 @@ use pdr_core::gallery::{self, synthetic, SyntheticParams};
 use pdr_fabric::TimePs;
 use pdr_graph::constraints::ConstraintsFile;
 use pdr_graph::prelude::*;
-use pdr_lint::{lint, lint_ir, render, IrLintInput, LintInput};
+use pdr_ir::{IrExecutive, SymbolTable};
+use pdr_lint::{lint_ir, render, IrLintInput};
 use pdr_sim::{IrSimSystem, SimConfig, SimReport, SimSystem};
 use pdr_sweep::artifact::outcome_digest;
 use pdr_sweep::{Scenario, SweepEngine, SweepError};
@@ -90,6 +91,13 @@ fn latencies_and_reconfig_logs_agree_on_the_largest_flow() {
 
 // ----------------------------------------------------------------- lint
 
+/// Lower `executive` through a fresh symbol table, not the flow's own.
+fn lower_fresh(executive: &pdr_adequation::executive::Executive) -> (IrExecutive, SymbolTable) {
+    let mut table = SymbolTable::new();
+    let ir = executive.lower(&mut table);
+    (ir, table)
+}
+
 #[test]
 fn lint_over_string_and_lowered_forms_is_byte_identical() {
     for g in gallery::all() {
@@ -98,8 +106,9 @@ fn lint_over_string_and_lowered_forms_is_byte_identical() {
         let chars = g.flow.characterization();
         let constraints =
             ConstraintsFile::parse(&art.constraints_text).expect("artifact constraints parse");
-        let from_string = lint(
-            &LintInput::new(&art.executive)
+        let (ir, table) = lower_fresh(&art.executive);
+        let from_string = lint_ir(
+            &IrLintInput::new(&ir, &table)
                 .with_arch(arch)
                 .with_chars(chars)
                 .with_constraints(&constraints)
@@ -123,8 +132,9 @@ fn lint_over_string_and_lowered_forms_is_byte_identical() {
 
 #[test]
 fn mutated_executives_produce_byte_identical_diagnostics() {
-    // Break the paper flow three different ways; each time the string and
-    // the lowered analysis must render the same findings byte for byte.
+    // Break the paper flow three different ways; each time the executive
+    // lowered through a fresh table and through the flow's own table must
+    // render the same findings byte for byte.
     let g = gallery::by_name("paper").expect("gallery flow exists");
     let base = g.flow.run().expect("gallery flow runs");
     type Mutation = Box<dyn Fn(&mut Vec<MacroInstr>)>;
@@ -168,8 +178,9 @@ fn mutated_executives_produce_byte_identical_diagnostics() {
         let chars = g.flow.characterization();
         let constraints =
             ConstraintsFile::parse(&base.constraints_text).expect("artifact constraints parse");
-        let from_string = lint(
-            &LintInput::new(&executive)
+        let (fresh_ir, fresh_table) = lower_fresh(&executive);
+        let from_string = lint_ir(
+            &IrLintInput::new(&fresh_ir, &fresh_table)
                 .with_arch(arch)
                 .with_chars(chars)
                 .with_constraints(&constraints),
@@ -379,11 +390,12 @@ proptest! {
         prop_assert_eq!(&a, &b, "simulation drift at seed {}", seed);
 
         // Lint stability: same seed twice → byte-identical clean reports,
-        // string and lowered forms agreeing both times.
+        // fresh and carried lowerings agreeing both times.
         let constraints = ConstraintsFile::parse(&art.constraints_text).unwrap();
         let lint_pair = |art: &pdr_core::flow::FlowArtifacts| {
-            let from_string = lint(
-                &LintInput::new(&art.executive)
+            let (ir, table) = lower_fresh(&art.executive);
+            let from_string = lint_ir(
+                &IrLintInput::new(&ir, &table)
                     .with_arch(flow.architecture())
                     .with_chars(flow.characterization())
                     .with_constraints(&constraints)

@@ -21,8 +21,8 @@ use pdr_graph::constraints::{ConstraintsFile, ModuleConstraints};
 use pdr_graph::prelude::*;
 use pdr_ir::{IrBuilder, SymbolTable};
 use pdr_lint::model::{self, ModelInput};
-use pdr_lint::{lint, lint_ir, render, rendezvous, replay};
-use pdr_lint::{Code, IrLintInput, LintInput, ModelConfig, RendezvousPair, Report, Severity};
+use pdr_lint::{lint_ir, render, rendezvous, replay};
+use pdr_lint::{Code, IrLintInput, ModelConfig, RendezvousPair, Report, Severity};
 use pdr_sim::{IrSimSystem, SimConfig, SimError};
 use proptest::prelude::*;
 
@@ -121,8 +121,10 @@ proptest! {
         let r = adequate(&g, &arch, &chars, &constraints, &AdequationOptions::default()).unwrap();
         let executive =
             generate_executive(&g, &arch, &chars, &r.mapping, &r.schedule).unwrap();
-        let report = lint(
-            &LintInput::new(&executive)
+        let mut table = SymbolTable::new();
+        let ir = executive.lower(&mut table);
+        let report = lint_ir(
+            &IrLintInput::new(&ir, &table)
                 .with_arch(&arch)
                 .with_chars(&chars)
                 .with_constraints(&constraints),
@@ -295,8 +297,8 @@ fn cross_region_exclusion_is_pdr007() {
     }
     let arch = gallery::sdr_architecture();
     let chars = gallery::sdr_characterization();
-    let report = lint(
-        &LintInput::new(&art.executive)
+    let report = lint_ir(
+        &IrLintInput::new(&art.ir_executive, &art.symbols)
             .with_arch(&arch)
             .with_chars(&chars)
             .with_constraints(&constraints),
@@ -529,7 +531,7 @@ fn dead_code_behind_a_deadlock_is_pdr016() {
 #[test]
 fn exhausted_state_budget_is_pdr017() {
     let (flow, art) = built("paper");
-    let report = flow.verify_with(&art, Some(ModelConfig::default().with_max_states(4)));
+    let report = flow.verify_with(&art, ModelConfig::default().with_max_states(4));
     assert!(report.has_code(Code::StateBudgetExceeded));
     // Truncation is honest: no defect is invented, and PDR016 stays
     // silent because reachability was not fully explored.
